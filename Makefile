@@ -34,7 +34,9 @@ test:
 # fault-injecting filesystem and replica-fault injectors under torture,
 # the seed-replayable scenario player, the fleet dispatcher's chaos
 # tortures (hedges, retries, rolling reload mid-burst, and the
-# correlated-disaster scenario), and the differential-oracle suite.
+# correlated-disaster scenario), and the differential-oracle suite
+# (including the engine oracle's small-topology rows; its GEANT and KDL
+# rows skip under -race).
 race:
 	$(GO) test -race ./internal/core ./internal/obs ./internal/resilience ./internal/chaos ./internal/chaos/replica ./internal/chaos/scenario ./internal/fleet ./internal/verify
 
@@ -51,8 +53,10 @@ scenariosmoke:
 
 # verify runs the differential-oracle suite: autograd gradients vs central
 # finite differences, simplex optima vs duality/complementary-slackness
-# certificates, MWU vs simplex, and HARP's permutation/edge-order
-# invariance oracles (see internal/verify and DESIGN.md §Correctness).
+# certificates, MWU vs simplex, HARP's permutation/edge-order invariance
+# oracles, and the engine oracle (TestEngineOracle: every serving path
+# bit-identical to the training Forward; see internal/verify and
+# DESIGN.md §Correctness).
 verify:
 	$(GO) test -count=1 ./internal/verify
 
@@ -68,7 +72,6 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMatMul$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzNewCSR$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzNewCSRChecked$$' -fuzztime=2s ./internal/tensor
-	$(GO) test -run='^$$' -fuzz='^FuzzConvert32$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzSoftmaxRow$$' -fuzztime=2s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheKey$$' -fuzztime=2s ./internal/resilience
 
@@ -98,11 +101,11 @@ benchsmoke:
 # ledger BENCH_2.json: batched vs sequential inference (SplitsBatch and
 # the micro-batch collector) and the split-cache hit vs miss path, and
 # the large-topology ledger BENCH_3.json: UsCarrier-scale (158-node) and
-# KDL-scale (754-node) single-snapshot inference on the float64 and
-# float32 precision paths. See the Performance section of the README.
+# KDL-scale (754-node) single-snapshot inference. See the Performance
+# section of the README.
 BENCH_PKGS = ./internal/tensor ./internal/autograd ./internal/core
 BENCH2_RE = 'SplitsBatch16|SplitsSequential16|ServeCache|ServeBatchedBurst|ServeSequentialBurst'
-BENCH3_RE = 'SplitsUsCarrier|SplitsKDL'
+BENCH3_RE = 'SplitsUsCarrier64|SplitsKDL64'
 bench:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | \

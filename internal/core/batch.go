@@ -1,13 +1,16 @@
 package core
 
-// Batched inference: the demand-dependent half of a forward pass (MLP1 +
-// RAU), hand-scheduled on reusable scratch buffers with the
-// topology-dependent first-layer partial sums hoisted out of the
-// per-snapshot loop.
+// The inference engine. Splits, SplitsSpan, SplitsBatch and
+// SplitsBatchSpan all run here: the demand-independent embedding (GNN +
+// SETTRANS) is recorded once per call on a pooled inference-mode tape,
+// and the demand-dependent half of the forward pass (MLP1 + RAU) runs per
+// demand on reusable scratch buffers, with the topology-dependent
+// first-layer partial sums hoisted out of the per-demand loop. A single
+// Splits is a batch of one.
 //
-// Bit-exactness contract: every value this file computes is bit-identical
-// to the tape-based adjust() path, and therefore to Splits. That holds by
-// construction, not by tolerance:
+// Bit-exactness contract: every split this file returns is bit-identical
+// to Forward, the differentiable training forward, on the same (Context,
+// demand). That holds by construction, not by tolerance:
 //
 //   - The matmul kernel (tensor.matMulAccRange) accumulates each output
 //     element's terms in ascending-k order starting from a zeroed
@@ -20,9 +23,11 @@ package core
 //     left-to-right sum bit for bit.
 //   - Every elementwise op mirrors the corresponding autograd op's formula
 //     verbatim (including ReLU's `v < 0` comparison, which preserves -0,
-//     and the kernel's skip of zero multiplicands).
+//     and the kernel's skip of zero multiplicands), and the RAU bottleneck
+//     argmax breaks ties by the same smallest-edge-id rule as adjust.
 //
-// TestSplitsBatchBitIdentical enforces the contract against Splits.
+// TestEngineOracle (internal/verify) enforces the contract against Forward
+// on a fresh tape, for every serving path.
 
 import (
 	"math"
@@ -182,8 +187,9 @@ func (sc *inferScratch) computeUtil(p *te.Problem, invCap *tensor.Dense) {
 // engine, returning the F×K split matrix. The returned matrix is scratch
 // memory: the caller must clone it before the next snapshot. Values are
 // bit-identical to the tape-based adjust (see the file comment); the
-// debugRAU hook is not invoked (it is a training-path test hook).
-func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense) *tensor.Dense {
+// debugRAU hook is not invoked (it is a training-path test hook). A
+// non-nil sp gains forward.mlp1 and forward.rau child spans.
+func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.Dense, sp *reqtrace.Span) *tensor.Dense {
 	p := ctx.p
 	set := p.Tunnels
 	numFlows, k := sc.key.f, sc.key.k
@@ -193,6 +199,7 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 
 	tel := m.tele
 	var span obs.Span
+	msp := sp.StartChild("forward.mlp1")
 	if tel != nil {
 		span = tel.mlp1.Start()
 	}
@@ -229,20 +236,29 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 	if tel != nil {
 		span.End()
 	}
+	msp.End()
 
 	// ---- 4. recurrent adjustment unit ----
+	// One span covers the whole RAU loop — per-iteration spans would put
+	// tens of clock reads on the hot path; the iteration count is an
+	// attribute instead (the per-iteration histogram lives in the obs
+	// stage telemetry).
+	rsp := sp.StartChild("forward.rau")
+	rsp.AnnotateInt("iterations", int64(m.Cfg.RAUIterations))
 	r0, r1 := m.rau.Layers[0], m.rau.Layers[1]
 	rauW0Tail := tailRows(r0.W.Val, r)
 	for it := 0; it < m.Cfg.RAUIterations; it++ {
 		if tel != nil {
 			span = tel.rauIter.Start()
 		}
+		// Bottleneck edge per tunnel; ties go to the smallest edge id, as
+		// in adjust (see the comment there).
 		for t := 0; t < numTunnels; t++ {
 			f := t / k
 			tun := set.Tunnel(f, t%k)
 			best, bestU := 0, math.Inf(-1)
 			for pi, e := range tun.Edges {
-				if uu := sc.util.Data[e]; uu > bestU {
+				if uu := sc.util.Data[e]; uu > bestU || (uu == bestU && e < tun.Edges[best]) {
 					bestU = uu
 					best = pi
 				}
@@ -288,30 +304,55 @@ func (sc *inferScratch) adjustInfer(m *Model, ctx *probContext, demand *tensor.D
 			span.End()
 		}
 	}
+	rsp.End()
 	if tel != nil {
 		tel.passes.Inc()
 	}
 	return sc.w
 }
 
-// batchTapes pools the reusable tapes that record the per-batch embedding
-// pass behind SplitsBatch. They live in inference mode permanently: a
-// batched serving pass never calls Backward, so skipping the per-node
-// gradient buffer (and its zeroing) is free speed with bit-identical
-// values. Pooled for the same reason as inferTapes: batched inference
-// must stay safe for concurrent use and abandonable mid-forward.
-var batchTapes = sync.Pool{New: func() any {
+// embedTapes pools the reusable tapes that record the embedding pass of
+// every inference call. They live in inference mode permanently: inference
+// never calls Backward, so skipping the per-node gradient buffer (and its
+// zeroing) is free speed with bit-identical values. Tapes are pooled rather
+// than hung off the Model because inference must stay safe for concurrent
+// use: the resilience server races inference goroutines against deadlines
+// and may abandon them mid-forward, and an abandoned or panicking call
+// simply never returns its tape — the pool regenerates.
+var embedTapes = sync.Pool{New: func() any {
 	tp := autograd.NewReusableTape()
 	tp.SetInference(true)
 	return tp
 }}
 
+// Splits runs inference and returns the F×K split-ratio matrix, owned by
+// the caller. When the verify gate is on (verify.SetEnabled), the routing
+// invariants — rows sum to 1, nonnegative link loads, per-flow
+// conservation — are re-checked on every inference; when off the gate is
+// a single atomic load, preserving the inference allocation pin.
+func (m *Model) Splits(c *Context, demand *tensor.Dense) *tensor.Dense {
+	return m.SplitsSpan(nil, c, demand)
+}
+
+// SplitsSpan is Splits with request-trace propagation: it is
+// SplitsBatchSpan on a batch of one.
+func (m *Model) SplitsSpan(sp *reqtrace.Span, c *Context, demand *tensor.Dense) *tensor.Dense {
+	var out [1]*tensor.Dense
+	m.SplitsBatchSpan(out[:0], c, []*tensor.Dense{demand}, sp)
+	return out[0]
+}
+
+// MLU runs inference and evaluates the achieved MLU exactly on the problem.
+func (m *Model) MLU(c *Context, demand *tensor.Dense) float64 {
+	return c.inner.p.MLU(m.Splits(c, demand), demand)
+}
+
 // SplitsBatch runs inference for B demand matrices that share one Context,
 // amortizing the demand-independent work: the GNN and SETTRANS embeddings
 // — and the first-layer partial sums over them — are computed once for the
 // whole batch, and only the demand-dependent MLP1/RAU stages run per
-// snapshot, on reusable scratch. Each output is bit-identical to what
-// Splits returns for the same (Context, demand) pair.
+// snapshot, on reusable scratch. Each output is bit-identical to Splits
+// (and to Forward) for the same (Context, demand) pair.
 //
 // Results are appended to dst (which may be nil) and also returned; each
 // returned matrix is freshly cloned and owned by the caller. When the
@@ -322,16 +363,17 @@ func (m *Model) SplitsBatch(dst []*tensor.Dense, c *Context, demands []*tensor.D
 }
 
 // SplitsBatchSpan is SplitsBatch with request-trace propagation: a
-// non-nil sp (typically a batch-dispatch root span) gains the shared
-// embedding stage spans plus one forward.adjust span covering the
-// per-snapshot MLP1/RAU work, and a verify-gate failure is recorded on
-// it. With a nil sp it is exactly SplitsBatch.
+// non-nil sp (typically a request or batch-dispatch span) gains the
+// shared forward.gnn and forward.settrans stage spans, then one
+// forward.adjust span (annotated with the demand count) holding a
+// forward.mlp1 and a forward.rau child per demand; a verify-gate failure
+// is recorded on it. With a nil sp it is exactly SplitsBatch.
 func (m *Model) SplitsBatchSpan(dst []*tensor.Dense, c *Context, demands []*tensor.Dense, sp *reqtrace.Span) []*tensor.Dense {
 	if len(demands) == 0 {
 		return dst
 	}
 	ctx := c.inner
-	tp := batchTapes.Get().(*autograd.Tape)
+	tp := embedTapes.Get().(*autograd.Tape)
 	emb := m.embed(tp, ctx, sp)
 	sc := inferScratches.Get().(*inferScratch)
 	sc.ensure(m, ctx)
@@ -339,12 +381,12 @@ func (m *Model) SplitsBatchSpan(dst []*tensor.Dense, c *Context, demands []*tens
 	asp := sp.StartChild("forward.adjust")
 	asp.AnnotateInt("demands", int64(len(demands)))
 	for _, d := range demands {
-		dst = append(dst, sc.adjustInfer(m, ctx, d).Clone())
+		dst = append(dst, sc.adjustInfer(m, ctx, d, asp).Clone())
 	}
 	asp.End()
 	sc.release()
 	tp.Reset()
-	batchTapes.Put(tp)
+	embedTapes.Put(tp)
 	if verify.Enabled() {
 		for i, d := range demands {
 			if err := verify.CheckRouting(ctx.p, dst[len(dst)-len(demands)+i], d); err != nil {

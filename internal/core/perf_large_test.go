@@ -1,10 +1,9 @@
 package core
 
-// Large-topology serving benchmarks — the BENCH_3.json ledger rows. Each
-// topology is benchmarked on both precision paths so the ledger shows what
-// the float32 engine buys at the scale it was built for: UsCarrier
-// (158 nodes, the topology-zoo scale HARP trains on) and KDL (754 nodes,
-// the paper's largest transfer target).
+// Large-topology serving benchmarks — the BENCH_3.json ledger rows:
+// single-snapshot float64 inference on UsCarrier (158 nodes, the
+// topology-zoo scale HARP trains on) and KDL (754 nodes, the paper's
+// largest transfer target).
 
 import (
 	"math/rand"
@@ -38,24 +37,9 @@ func benchSplits64(b *testing.B, p *te.Problem, seed int64) {
 	}
 }
 
-func benchSplits32(b *testing.B, p *te.Problem, seed int64) {
-	m, ctx, d := largeBench(p, seed)
-	if err := m.EnableFloat32Inference(); err != nil {
-		b.Fatal(err)
-	}
-	m.Splits(ctx, d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Splits(ctx, d)
-	}
-}
-
 func usCarrierProblem(n, k int, seed int64) *te.Problem {
 	return scaleProblem(topology.UsCarrierScale(seed), n, k, seed)
 }
 
 func BenchmarkSplitsUsCarrier64(b *testing.B) { benchSplits64(b, usCarrierProblem(60, 4, 301), 302) }
-func BenchmarkSplitsUsCarrier32(b *testing.B) { benchSplits32(b, usCarrierProblem(60, 4, 301), 302) }
 func BenchmarkSplitsKDL64(b *testing.B)       { benchSplits64(b, kdlProblem(60, 4, 301), 302) }
-func BenchmarkSplitsKDL32(b *testing.B)       { benchSplits32(b, kdlProblem(60, 4, 301), 302) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"harpte/internal/autograd"
 	"harpte/internal/tensor"
 	"os"
 	"testing"
@@ -84,7 +85,9 @@ func TestRAUDebugTrace(t *testing.T) {
 		}
 		t.Logf("iter %d:%s", iter, row)
 	}
-	m.Splits(fctx, d)
+	// debugRAU observes the tape forward only (the inference engine has no
+	// hook), so the trace reruns the same snapshot through Forward.
+	m.Forward(autograd.NewTape(), fctx, d)
 }
 
 // tensorDense aliases the dense type for the debug hook signature.

@@ -179,3 +179,20 @@ func TestEncoderPreservesShapeAcrossDepths(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketSegmentsOrder: counting sort must order segments by ascending
+// length, stably, covering every index exactly once.
+func TestBucketSegmentsOrder(t *testing.T) {
+	tp := autograd.NewTape()
+	segs := []Segment{{0, 4}, {4, 6}, {6, 10}, {10, 11}, {11, 13}}
+	order := bucketSegments(tp, segs)
+	wantOrder := []int{3, 1, 4, 0, 2} // lengths 1, 2, 2 (stable), 4, 4 (stable)
+	if len(order) != len(wantOrder) {
+		t.Fatalf("order length %d, want %d", len(order), len(wantOrder))
+	}
+	for i := range wantOrder {
+		if order[i] != wantOrder[i] {
+			t.Fatalf("order = %v, want %v", order, wantOrder)
+		}
+	}
+}

@@ -145,7 +145,7 @@ func TestTraceSmoke(t *testing.T) {
 		if size, _ := broot.Attrs["size"].(int64); size >= 2 {
 			sawCoalesced = true
 		}
-		for _, stage := range []string{"forward.gnn", "forward.settrans", "forward.adjust"} {
+		for _, stage := range []string{"forward.gnn", "forward.settrans", "forward.adjust", "forward.mlp1", "forward.rau"} {
 			sp, ok := findSpan(btr, stage)
 			if !ok {
 				t.Fatalf("batch trace %s missing %s span: %+v", id, stage, btr.Spans)

@@ -87,9 +87,9 @@ func FuzzNewCSR(f *testing.F) {
 	// Satellite seeds for the sparse edge-case sweep: duplicate (row,col)
 	// entries that must sum (including a cancellation to exactly zero),
 	// interior empty rows, and unsorted column indices within one row.
-	f.Add(uint8(4), uint8(4), []byte{2, 3, 138, 2, 3, 118, 1, 0, 129}) // dup (2,3): +10 + -10 sums to 0
-	f.Add(uint8(6), uint8(3), []byte{5, 0, 129})                       // rows 0..4 empty, only last populated
-	f.Add(uint8(2), uint8(8), []byte{1, 7, 130, 1, 0, 131, 1, 3, 132}) // row 1 columns arrive 7,0,3
+	f.Add(uint8(4), uint8(4), []byte{2, 3, 138, 2, 3, 118, 1, 0, 129})                       // dup (2,3): +10 + -10 sums to 0
+	f.Add(uint8(6), uint8(3), []byte{5, 0, 129})                                             // rows 0..4 empty, only last populated
+	f.Add(uint8(2), uint8(8), []byte{1, 7, 130, 1, 0, 131, 1, 3, 132})                       // row 1 columns arrive 7,0,3
 	f.Add(uint8(5), uint8(5), []byte{0, 4, 140, 0, 1, 135, 0, 4, 116, 3, 2, 129, 3, 2, 127}) // unsorted + dups mixed
 	f.Fuzz(func(t *testing.T, rr, cr uint8, data []byte) {
 		rows := 1 + int(rr)%16
@@ -204,10 +204,10 @@ func FuzzSoftmaxRow(f *testing.F) {
 // either build a CSR that validates or return a typed *CSRBoundsError
 // naming the offending entry — never panic, never silently drop entries.
 func FuzzNewCSRChecked(f *testing.F) {
-	f.Add(uint8(3), uint8(3), []byte{2, 2, 1})       // in bounds
-	f.Add(uint8(3), uint8(3), []byte{3, 0, 1})       // row == rows
-	f.Add(uint8(3), uint8(3), []byte{0, 7, 1})       // col >= cols
-	f.Add(uint8(0), uint8(4), []byte{0, 0, 1})       // zero rows, any entry OOB
+	f.Add(uint8(3), uint8(3), []byte{2, 2, 1}) // in bounds
+	f.Add(uint8(3), uint8(3), []byte{3, 0, 1}) // row == rows
+	f.Add(uint8(3), uint8(3), []byte{0, 7, 1}) // col >= cols
+	f.Add(uint8(0), uint8(4), []byte{0, 0, 1}) // zero rows, any entry OOB
 	f.Fuzz(func(t *testing.T, rr, cr uint8, data []byte) {
 		rows := int(rr) % 16
 		cols := int(cr) % 16
@@ -233,82 +233,6 @@ func FuzzNewCSRChecked(f *testing.F) {
 		}
 		if verr := c.Validate(); verr != nil {
 			t.Fatalf("checked CSR fails Validate: %v", verr)
-		}
-	})
-}
-
-// FuzzConvert32: for arbitrary float64 inputs, Convert32 must error exactly
-// when a finite input narrows to ±Inf, Clamp32 must never produce an Inf
-// from a finite input, and both must pass non-finite inputs through.
-func FuzzConvert32(f *testing.F) {
-	seed := func(vals ...float64) []byte {
-		b := make([]byte, 8*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
-		}
-		return b
-	}
-	f.Add(seed(1.5, -2.5))
-	f.Add(seed(math.MaxFloat32))               // largest exactly-representable
-	f.Add(seed(3.4028235677973366e38))         // first float64 that rounds to +Inf
-	f.Add(seed(-3.4028235677973366e38, 1))     // negative boundary
-	f.Add(seed(math.Inf(1), math.NaN()))       // non-finite pass-through
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / 8
-		if n > 64 {
-			n = 64
-		}
-		src := make([]float64, n)
-		for i := range src {
-			src[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-		wantErrAt := -1
-		for i, v := range src {
-			if !math.IsInf(v, 0) && !math.IsNaN(v) && math.IsInf(float64(float32(v)), 0) {
-				wantErrAt = i
-				break
-			}
-		}
-		dst := make([]float32, n)
-		err := Convert32(dst, src)
-		if wantErrAt >= 0 {
-			var oe *Float32OverflowError
-			if !errors.As(err, &oe) {
-				t.Fatalf("finite overflow at %d not rejected: err=%v", wantErrAt, err)
-			}
-			if oe.Index != wantErrAt {
-				t.Fatalf("overflow index %d, want %d", oe.Index, wantErrAt)
-			}
-		} else if err != nil {
-			t.Fatalf("unexpected conversion error: %v", err)
-		} else {
-			for i, v := range src {
-				if float64(dst[i]) != float64(float32(v)) && !math.IsNaN(v) {
-					t.Fatalf("dst[%d]=%v, want %v", i, dst[i], float32(v))
-				}
-			}
-		}
-		clamped := make([]float32, n)
-		Clamp32(clamped, src)
-		for i, v := range src {
-			c := float64(clamped[i])
-			switch {
-			case math.IsNaN(v):
-				if !math.IsNaN(c) {
-					t.Fatalf("NaN at %d not preserved: %v", i, clamped[i])
-				}
-			case math.IsInf(v, 0):
-				if !math.IsInf(c, int(math.Copysign(1, v))) {
-					t.Fatalf("Inf at %d not preserved: %v", i, clamped[i])
-				}
-			default:
-				if math.IsInf(c, 0) {
-					t.Fatalf("finite %v clamped to Inf at %d", v, i)
-				}
-				if math.Abs(v) <= math.MaxFloat32 && clamped[i] != float32(v) {
-					t.Fatalf("in-range %v altered by clamp: %v", v, clamped[i])
-				}
-			}
 		}
 	})
 }

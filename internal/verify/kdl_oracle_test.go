@@ -3,11 +3,9 @@ package verify_test
 // KDL-scale oracles for the sparse path: the PR-4 equivariance claims and
 // the autograd-vs-finite-difference check rerun on a 754-node topology,
 // where the CSR kernels (GCN aggregation, incidence products) carry the
-// whole forward pass — plus coverage for the precision-divergence oracle
-// that bounds the float32 serving engine.
+// whole forward pass.
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -34,54 +32,6 @@ func kdlInstance(t *testing.T, flows int, seed int64) (*topology.Graph, *tunnels
 	return g, set, p, d
 }
 
-// TestPrecisionDivergenceOracle: the float32 engine's output on real
-// instances must sit inside the divergence budget, and a corrupted output
-// must come back as the typed error pointing at the bad entry.
-func TestPrecisionDivergenceOracle(t *testing.T) {
-	m := oracleModel()
-	for i := 0; i < 4; i++ {
-		_, _, p, d := randomHarpInstance(i)
-		ctx := m.Context(p)
-		want := m.Splits(ctx, d)
-		got, err := m.SplitsFloat32(ctx, d)
-		if err != nil {
-			t.Fatalf("instance %d: SplitsFloat32: %v", i, err)
-		}
-		if err := verify.CheckPrecisionDivergence(p, d, want, got, 0); err != nil {
-			t.Fatalf("instance %d: float32 path outside divergence budget: %v", i, err)
-		}
-
-		// Nudge one split pair past the budget but keep the row a valid
-		// distribution: the oracle must name the entry in a typed error.
-		bad := tensor.New(got.Rows, got.Cols)
-		copy(bad.Data, got.Data)
-		f := i % bad.Rows
-		hi, lo := 0, 1
-		if bad.At(f, hi) < bad.At(f, lo) {
-			hi, lo = lo, hi
-		}
-		shift := bad.At(f, hi) / 2
-		bad.Data[f*bad.Cols+hi] -= shift
-		bad.Data[f*bad.Cols+lo] += shift
-		err = verify.CheckPrecisionDivergence(p, d, want, bad, 0)
-		var pd *verify.PrecisionDivergenceError
-		if !errors.As(err, &pd) {
-			t.Fatalf("instance %d: corrupted splits returned %v, want *PrecisionDivergenceError", i, err)
-		}
-		if pd.Flow != f {
-			t.Fatalf("instance %d: oracle blamed flow %d, corrupted flow %d", i, pd.Flow, f)
-		}
-
-		// An invalid routing must fail the routing gate, not pass as "close".
-		inv := tensor.New(got.Rows, got.Cols)
-		copy(inv.Data, got.Data)
-		inv.Data[0] += 1 // row 0 now sums to 2
-		if err := verify.CheckPrecisionDivergence(p, d, want, inv, 0); err == nil {
-			t.Fatalf("instance %d: invalid routing accepted", i)
-		}
-	}
-}
-
 // TestKDLScaleSparseGradOracle reruns the autograd-vs-finite-difference
 // oracle over the sparse kernels on KDL-scale operands: the real 754-node
 // incidence matrix (CSRMul forward / CSRMulT adjoint round trip) and a
@@ -102,8 +52,8 @@ func TestKDLScaleSparseGradOracle(t *testing.T) {
 		x.Val.Data[i] = rng.NormFloat64()
 	}
 	rel := verify.GradientMaxRelError([]*autograd.Tensor{x}, func(tp *autograd.Tape) *autograd.Tensor {
-		loads := tp.CSRMul(inc, x)       // E×1 edge loads
-		back := tp.CSRMulT(inc, loads)   // T×1 per-tunnel bottleneck sums
+		loads := tp.CSRMul(inc, x)     // E×1 edge loads
+		back := tp.CSRMulT(inc, loads) // T×1 per-tunnel bottleneck sums
 		return tp.SumAll(tp.Mul(back, back))
 	}, 1e-5)
 	if rel > 1e-6 {
@@ -140,7 +90,7 @@ func TestKDLScaleSparseGradOracle(t *testing.T) {
 // TestKDLScaleEquivarianceOracle reruns the PR-4 equivariance oracles —
 // node-permutation equivariance and tunnel-edge-order invariance — on a
 // KDL-scale problem, where the forward pass runs entirely on the sparse
-// kernels, for both the float64 and float32 engines.
+// kernels.
 func TestKDLScaleEquivarianceOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("KDL-scale forward passes are seconds of work; skipped with -short")
@@ -151,10 +101,6 @@ func TestKDLScaleEquivarianceOracle(t *testing.T) {
 	m := oracleModel()
 	g, set, p, d := kdlInstance(t, 30, 601)
 	base := m.Splits(m.Context(p), d)
-	base32, err := m.SplitsFloat32(m.Context(p), d)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rng := rand.New(rand.NewSource(602))
 	perm := rng.Perm(g.NumNodes)
@@ -166,13 +112,6 @@ func TestKDLScaleEquivarianceOracle(t *testing.T) {
 	p2 := te.NewProblem(g2, set2)
 	if got := m.Splits(m.Context(p2), d); !tensor.Equal(base, got, 1e-7) {
 		t.Error("KDL-scale splits changed under node permutation")
-	}
-	got32, err := m.SplitsFloat32(m.Context(p2), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(base32, got32, 1e-5) {
-		t.Error("KDL-scale float32 splits changed under node permutation")
 	}
 
 	shuf := shuffleTunnelEdges(set, rng)
